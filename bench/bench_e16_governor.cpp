@@ -7,13 +7,13 @@
 // each racing 4-alternative blocks against a fixed budget of 8 child tokens —
 // and measures how the system degrades: throughput, block latency, how many
 // blocks fell back to serialized execution, and how many runaway arms the
-// watchdog contained.
+// wall budget contained.
 //
 // Two arm mixes per row:
 //   fast      — all four arms viable, 2-4 ms each. Contention cost only.
 //   runaway   — every 6th block's only viable arm sleeps past the 80 ms wall
-//               budget; the watchdog must kill it (SIGTERM→SIGKILL, 1 ms
-//               grace) and the supervisor recovers in-process.
+//               budget; its race's wait loop must kill it (SIGTERM→SIGKILL,
+//               1 ms grace) and the supervisor recovers in-process.
 //
 // The invariant on display: max_in_flight never exceeds the token budget
 // except by sanctioned single-arm overdrafts, no matter how much work is
@@ -52,7 +52,7 @@ std::vector<AlternativeFn<int>> fast_alts() {
 }
 
 /// The only viable arm sleeps well past the wall budget: the race can only
-/// end when the watchdog kills it, after which the supervisor's sequential
+/// end when the wall budget kills it, after which the supervisor's sequential
 /// fallback produces the value in-process.
 std::vector<AlternativeFn<int>> runaway_alts() {
   return {
@@ -126,7 +126,7 @@ int main() {
   std::printf("T threads × %d blocks each, 4 arms per fast block, against a\n"
               "budget of %d child tokens (80 ms wall budget, 1 ms SIGTERM\n"
               "grace). Blocks denied admission degrade to serialized forked\n"
-              "execution; runaway arms are killed by the watchdog.\n\n",
+              "execution; runaway arms are killed at their wall budget.\n\n",
               kBlocksPerThread, kTokens);
 
   Table t({"mix", "threads", "success", "degraded", "p50", "p95", "blocks/s",

@@ -92,7 +92,9 @@ std::uint64_t site_for(std::uint64_t path) {
 /// stay cold, warm arms get walls anywhere in 0.1–10 ms and coin-flip
 /// success rates. Deliberately unrelated to what the arms really do — the
 /// property under test is that plans built from *wrong* history are still
-/// safe, not that they are fast.
+/// safe, not that they are fast. Only top-level blocks plan; nested sites
+/// are still seeded so a seed keeps drawing the same top-level histories
+/// (and old `.altcheck` repros replay unchanged).
 void seed_history(altx::obs::HistoryStore& store, Rng& rng, const Block& b,
                   std::uint64_t path) {
   const std::uint64_t site = site_for(path);
@@ -179,17 +181,20 @@ std::optional<std::uint64_t> run_block(const Ctx& c, const Block& b, int depth,
   opts.heap = c.heap;
   opts.timeout = std::chrono::milliseconds(10'000);
   opts.governor = c.governor;
-  if (c.planner != nullptr) {
-    opts.planner = c.planner;
-    opts.site_id = site_for(path);
-  }
   altx::posix::RaceReport report;
   opts.report = &report;
   // Top-level blocks consult the injector (a full fault plan in faulty mode,
-  // a delay-only commit-race perturbation otherwise). Nested blocks inside
-  // speculative children always run clean: a fault there would be
+  // a delay-only commit-race perturbation otherwise) and the planner. Nested
+  // blocks inside speculative children always run clean: a fault there, or
+  // a predicted kill (the child's own wait loop enforces them), would be
   // indistinguishable from a failed guard.
-  if (depth == 1) opts.fault = c.injector;
+  if (depth == 1) {
+    opts.fault = c.injector;
+    if (c.planner != nullptr) {
+      opts.planner = c.planner;
+      opts.site_id = site_for(path);
+    }
+  }
 
   if (c.faulty && depth == 1) {
     altx::posix::RetryPolicy policy;
@@ -248,7 +253,7 @@ std::optional<std::uint64_t> run_block(const Ctx& c, const Block& b, int depth,
   if (degraded) return std::nullopt;  // every arm ran alone and said no
   if (report.verdict != altx::posix::WaitVerdict::kAllFailed ||
       report.over_budget > 0 || report.predicted_losers > 0) {
-    // Timeout, a stray crash without injection, a watchdog kill (the wall
+    // Timeout, a stray crash without injection, a budget kill (the wall
     // budget is generous, but a stalled machine can still blow it), or a
     // predicted kill (the synthetic history may have condemned the one arm
     // that would have won): the environment, not the semantics, decided
@@ -275,24 +280,20 @@ RunOutcome run_posix(const CheckProgram& p, std::uint64_t schedule_seed, bool fa
   // degradation actually happen, a wall budget far above any legitimate
   // arm's runtime so it only fires on a stalled machine, and sometimes a
   // SIGTERM grace so the escalation ladder gets exercised too. Built before
-  // any fork so every child shares the MAP_SHARED pool.
+  // any fork so every child shares the MAP_SHARED pool. Predicted trials
+  // need no governor: each race's wait loop enforces its own kill deadlines.
   std::unique_ptr<altx::posix::SpeculationGovernor> governor;
-  if (governed || predicted) {
+  if (governed) {
     altx::posix::GovernorConfig gc;
-    if (governed) {
-      gc.tokens = 1 + static_cast<int>(schedule_seed % 3);
-      gc.admit_wait = std::chrono::milliseconds(20);
-      // Short single-token patience: a nested serialized arm whose ancestors
-      // hold every token must overdraft quickly, or the waits pile up inside
-      // the enclosing arm's wall budget.
-      gc.serial_admit_wait = std::chrono::milliseconds(100);
-      gc.arm_wall_budget = std::chrono::milliseconds(5'000);
-      gc.kill_grace = std::chrono::milliseconds((schedule_seed >> 2) % 2 == 0 ? 0 : 2);
-    }
-    // Predicted trials need the watchdog awake and EVERY arm registered,
-    // deadline or not, so its last-live-arm census is exact (ALTX_PRED=1
-    // arms the same flag in production).
-    gc.predict_watch = predicted;
+    gc.tokens = 1 + static_cast<int>(schedule_seed % 3);
+    gc.admit_wait = std::chrono::milliseconds(20);
+    // Short single-token patience: a nested serialized arm whose ancestors
+    // hold every token must overdraft quickly, or the waits pile up inside
+    // the enclosing arm's wall budget.
+    gc.serial_admit_wait = std::chrono::milliseconds(100);
+    gc.arm_wall_budget = std::chrono::milliseconds(5'000);
+    gc.kill_grace =
+        std::chrono::milliseconds((schedule_seed >> 2) % 2 == 0 ? 0 : 2);
     gc.poll_interval = std::chrono::milliseconds(2);
     governor = std::make_unique<altx::posix::SpeculationGovernor>(gc);
   }
@@ -373,8 +374,7 @@ RunOutcome run_posix(const CheckProgram& p, std::uint64_t schedule_seed, bool fa
     // The cap is a hard claim: concurrent speculative children never exceed
     // the token budget. The one sanctioned exception is the single-token
     // liveness overdraft, which the pool counts — a high-water mark above
-    // budget with zero overdrafts is a governor bug. (Predicted-only trials
-    // run a watch-only governor with no token budget: nothing to cap.)
+    // budget with zero overdrafts is a governor bug.
     const altx::posix::GovernorStats gs = governor->stats();
     if (gs.overdrafts == 0 && gs.max_in_flight > governor->config().tokens) {
       out.violation = "governor-cap-exceeded";

@@ -8,7 +8,7 @@
 // the frame-pointer chain and compacts the backtrace into kProfSample
 // records pushed straight into the fork-shared trace ring. Because the ring
 // is MAP_SHARED and push() is async-signal-safe, samples from a child that
-// is later SIGKILLed by elimination or the watchdog survive — the loser's
+// is later SIGKILLed by elimination or a budget kill survive — the loser's
 // profile is readable post-mortem, exactly like its fate and page census.
 //
 // Sample encoding (ring records are 64 bytes; a backtrace is not): each

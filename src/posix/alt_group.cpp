@@ -1,11 +1,16 @@
 #include "posix/alt_group.hpp"
 
+#include <linux/futex.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/mman.h>
+#include <sys/syscall.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
@@ -26,6 +31,24 @@ constexpr int kExitTooLate = 43;  // lost the race for the commit token
 // in milliseconds, and abandoning the whole cohort to the supervisor's
 // much slower backoff for it would be out of proportion.
 constexpr int kForkRetries = 3;
+
+constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+
+std::uint64_t to_ns(std::chrono::milliseconds d) {
+  return d.count() > 0
+             ? static_cast<std::uint64_t>(std::chrono::nanoseconds(d).count())
+             : 0;
+}
+
+/// A sampling period: never below 1 ms, so a zero knob cannot spin the loop.
+std::uint64_t period_ns(std::chrono::milliseconds d) {
+  return std::max<std::uint64_t>(to_ns(d), 1'000'000ULL);
+}
+
+timespec to_timespec(std::uint64_t ns) {
+  return {static_cast<time_t>(ns / 1'000'000'000ULL),
+          static_cast<long>(ns % 1'000'000'000ULL)};
+}
 
 }  // namespace
 
@@ -141,9 +164,7 @@ int AltGroup::alt_spawn(int n) {
 
   // Cohort bookkeeping grows in lockstep with the forks so that a mid-loop
   // failure can kill and reap exactly the children that exist.
-  children_.reserve(static_cast<std::size_t>(n));
-  reaped_.reserve(static_cast<std::size_t>(n));
-  killed_.reserve(static_cast<std::size_t>(n));
+  arms_.reserve(static_cast<std::size_t>(n));
   status_.reserve(static_cast<std::size_t>(n));
 
   auto abandon_cohort = [this] {
@@ -186,9 +207,7 @@ int AltGroup::alt_spawn(int n) {
       // fork span is cancelled — only the parent emits its end.
       fork_phase.cancel();
       my_index_ = i;
-      children_.clear();
-      reaped_.clear();
-      killed_.clear();
+      arms_.clear();  // closes the sibling pidfds this child inherited
       status_.clear();
       if (opts_.governor != nullptr) opts_.governor->apply_child_rlimits();
       if (opts_.heap != nullptr) opts_.heap->begin_tracking();
@@ -200,25 +219,31 @@ int AltGroup::alt_spawn(int n) {
                                        static_cast<std::int16_t>(i));
       return i;
     }
-    if (opts_.governor != nullptr) {
-      const std::size_t j = static_cast<std::size_t>(i) - 1;
-      opts_.governor->watch(
-          pid, race_id_, i,
-          j < opts_.pred_kill_ns.size() ? opts_.pred_kill_ns[j] : 0);
-    }
     if (obs::enabled()) {
       const std::uint64_t fork_ns = obs::now_ns() - fork_t0;
       obs::emit(obs::EventKind::kFork, race_id_, static_cast<std::int16_t>(i),
                 static_cast<std::uint64_t>(pid), fork_ns);
       obs::MetricsRegistry::global().histogram("fork_latency_ns").record(fork_ns);
     }
-    children_.push_back(pid);
-    reaped_.push_back(false);
-    killed_.push_back(false);
+    const std::size_t j = static_cast<std::size_t>(i) - 1;
+    Arm& arm = arms_.emplace_back();
+    arm.pid = pid;
+    arm.pred_kill_ns =
+        j < opts_.pred_kill_ns.size() ? opts_.pred_kill_ns[j] : 0;
+    arm.stage_ns = j < opts_.pred_stage_ns.size() ? opts_.pred_stage_ns[j] : 0;
     ChildStatus st;
     st.pid = pid;
     st.spawn_ns = obs::now_ns();
     status_.push_back(st);
+    // The pidfd is how alt_wait sees this child exit. Without one the child
+    // could neither be watched nor policed: fail like a failed fork.
+    const long pidfd = ::syscall(SYS_pidfd_open, pid, 0);
+    if (pidfd < 0) {
+      const int err = errno;
+      abandon_cohort();
+      throw SystemError("pidfd_open", err);
+    }
+    arm.pidfd = Fd(static_cast<int>(pidfd));
   }
   return 0;
 }
@@ -239,6 +264,15 @@ void AltGroup::child_commit(const Bytes& result) {
     // synchronization, the worst place a real fault can strike.
     drop = opts_.fault->at_sync_point(fault_attempt_, my_index_) ==
            FaultKind::kDropCommit;
+  }
+  // A parent that condemned this arm (a budget, shed or predicted kill) has
+  // its SIGKILL on the way; the token must stay for the siblings. Claiming
+  // first makes the parent spare this arm instead.
+  if (census_ != nullptr) {
+    std::uint32_t racing = 0;
+    if (!census_[my_index_ - 1].claim.compare_exchange_strong(racing, 1)) {
+      for (;;) ::pause();
+    }
   }
   // Try to take the token. First reader commits; everyone else is too late.
   obs::emit(obs::EventKind::kCommitAttempt, race_id_,
@@ -301,13 +335,29 @@ void AltGroup::child_abort() {
   _exit(kExitAbort);
 }
 
+void AltGroup::child_defer(std::uint64_t ns) {
+  ALTX_REQUIRE(my_index_ != 0, "child_defer called in the parent");
+  std::atomic<std::uint32_t>* wake =
+      census_ != nullptr ? &census_[my_index_ - 1].wake : nullptr;
+  const std::uint64_t until = obs::now_ns() + ns;
+  for (std::uint64_t now = obs::now_ns(); now < until; now = obs::now_ns()) {
+    const timespec ts = to_timespec(until - now);
+    if (wake == nullptr) {
+      ::nanosleep(&ts, nullptr);
+    } else if (wake->load(std::memory_order_acquire) != 0) {
+      return;
+    } else {
+      ::syscall(SYS_futex, wake, FUTEX_WAIT, 0, &ts, nullptr, 0);
+    }
+  }
+}
+
 std::optional<AltWinner> AltGroup::alt_wait(std::chrono::milliseconds timeout) {
   ALTX_REQUIRE(my_index_ == 0, "alt_wait: only the parent waits");
   ALTX_REQUIRE(spawned_, "alt_wait before alt_spawn");
   if (decided_) return verdict_;
 
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  std::size_t exited = 0;
+  const std::uint64_t deadline_ns = obs::now_ns() + to_ns(timeout);
 
   // The parent's view of the arms racing: from here until the first result
   // byte is readable (or the race is called off). The later phases —
@@ -340,30 +390,19 @@ std::optional<AltWinner> AltGroup::alt_wait(std::chrono::milliseconds timeout) {
     return true;
   };
 
+  // The paper's rendezvous as one ppoll: the result pipe, every live arm's
+  // pidfd, and a timeout at the race deadline or the next budget,
+  // predicted-kill, grace or sample instant, whichever comes first.
   while (true) {
     if (try_read_result()) break;
-
-    // Reap opportunistically: detects the all-failed case and classifies
-    // self-deaths (a signal we did not send is a genuine crash).
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-      if (reaped_[i]) continue;
-      int status = 0;
-      struct rusage ru {};
-      const pid_t r = wait4_eintr(children_[i], &status, WNOHANG, &ru);
-      if (r == children_[i]) {
-        record_exit(i, status, decode_rusage(ru));
-        ++exited;
-      }
-    }
-    if (exited == children_.size()) {
+    if (all_reaped()) {
       // Everyone is gone; a commit may still sit in the pipe (the winner
       // exits after writing).
       if (!try_read_result()) verdict_kind_ = WaitVerdict::kAllFailed;
       break;
     }
-
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
+    const std::uint64_t now = obs::now_ns();
+    if (now >= deadline_ns) {
       // TIMEOUT: presume no alternative will succeed (section 3.2). A commit
       // that raced in before the kill is still honoured — it won.
       arm_phase.end();
@@ -374,27 +413,16 @@ std::optional<AltWinner> AltGroup::alt_wait(std::chrono::milliseconds timeout) {
       if (!try_read_result()) verdict_kind_ = WaitVerdict::kTimeout;
       break;
     }
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    const int slice = static_cast<int>(std::min<long long>(20, remaining.count() + 1));
-    wait_readable(result_.read_end.get(), std::max(1, slice));
+    poll_and_reap(result_.read_end.get(),
+                  std::min(deadline_ns, police_arms(now)));
   }
 
   decided_ = true;
   arm_phase.end();  // idempotent: already closed on the result/timeout paths
-  {
-    bool survivors = false;
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-      if (!reaped_[i]) {
-        survivors = true;
-        break;
-      }
-    }
-    if (survivors) {
-      obs::ScopedPhase elim(obs::Phase::kEliminate, race_id_);
-      kill_survivors();
-      if (opts_.elimination == Eliminate::kSynchronous) reap_all();
-    }
+  if (!all_reaped()) {
+    obs::ScopedPhase elim(obs::Phase::kEliminate, race_id_);
+    kill_survivors();
+    if (opts_.elimination == Eliminate::kSynchronous) reap_all();
   }
   const std::uint64_t decide_t0 =
       obs::phase_begin(obs::Phase::kDecide, race_id_, 0);
@@ -433,59 +461,233 @@ int AltGroup::count_fate(ChildFate fate) const {
   return n;
 }
 
-void AltGroup::kill_survivors() {
-  if (opts_.kill_grace.count() <= 0) {
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-      if (!reaped_[i]) {
-        ::kill(children_[i], SIGKILL);
-        killed_[i] = true;
+bool AltGroup::all_reaped() const {
+  return std::all_of(arms_.begin(), arms_.end(),
+                     [](const Arm& a) { return a.reaped; });
+}
+
+std::uint64_t AltGroup::police_arms(std::uint64_t now) {
+  SpeculationGovernor* gov = opts_.governor;
+  const GovernorConfig* gc = gov != nullptr ? &gov->config() : nullptr;
+  const std::uint64_t wall_ns = gc != nullptr ? to_ns(gc->arm_wall_budget) : 0;
+  const std::uint64_t cpu_ns = gc != nullptr ? to_ns(gc->arm_cpu_budget) : 0;
+  const bool sample_cpu = cpu_ns > 0 && now >= next_cpu_ns_;
+  if (sample_cpu) next_cpu_ns_ = now + period_ns(gc->poll_interval);
+  // Arms alive and unthreatened, and those of them past their hedge
+  // deferral. The shed rule never takes the last live arm and the
+  // predicted rule never the last running one: a stalled host or a
+  // mispredicting model must degrade a race to sequential, never wedge it,
+  // and a leader that overruns is not traded for a backup still asleep or
+  // for an arm the plan skipped (it can only FAIL).
+  int live = 0;
+  int running = 0;
+  std::uint64_t wake = kNever;
+  for (std::size_t i = 0; i < arms_.size(); ++i) {
+    const Arm& a = arms_[i];
+    if (a.reaped || a.killed || a.gov_kill.has_value()) continue;
+    ++live;
+    if (now - status_[i].spawn_ns >= a.stage_ns) {
+      ++running;
+    } else if (a.stage_ns != AltGroupOptions::kNeverRuns) {
+      // The census changes when this hedge wakes.
+      wake = std::min(wake, status_[i].spawn_ns + a.stage_ns);
+    }
+  }
+  if (running == 0 && live > 0 && census_ != nullptr) {
+    // Every running arm is gone and only hedges remain, asleep: their
+    // deferral gave a leader a head start, and there is no leader left.
+    for (std::size_t i = 0; i < arms_.size(); ++i) {
+      Arm& a = arms_[i];
+      if (a.reaped || a.killed || a.gov_kill.has_value() ||
+          a.stage_ns == AltGroupOptions::kNeverRuns) {
+        continue;
+      }
+      census_[i].wake.store(1, std::memory_order_release);
+      ::syscall(SYS_futex, &census_[i].wake, FUTEX_WAKE, 1, nullptr, nullptr,
+                0);
+      a.stage_ns = now - status_[i].spawn_ns;
+      ++running;
+    }
+  }
+  for (std::size_t i = 0; i < arms_.size(); ++i) {
+    Arm& a = arms_[i];
+    if (a.reaped || a.killed || a.syncing) continue;
+    if (a.gov_kill.has_value()) {
+      if (a.term_deadline_ns == 0) continue;  // SIGKILLed; reaped on exit
+      if (now < a.term_deadline_ns) {
+        wake = std::min(wake, a.term_deadline_ns);
+        continue;
+      }
+      a.term_deadline_ns = 0;
+      if (condemn(i)) {
+        ::kill(a.pid, SIGKILL);  // grace expired: escalate
+        if (gov != nullptr) gov->count_escalation();
+        emit_kill(i, /*stage=*/1);
+      }
+      continue;
+    }
+    const std::uint64_t age = now - status_[i].spawn_ns;
+    const bool predictable = a.pred_kill_ns > 0 && running >= 2;
+    std::optional<GovKillReason> why;
+    if (wall_ns > 0 && age >= wall_ns) {
+      why = GovKillReason::kWall;
+    } else if (predictable && age >= a.pred_kill_ns) {
+      // Predicted early kill: this arm has overrun its own historical kill
+      // quantile. Arms with no history carry pred_kill_ns == 0.
+      why = GovKillReason::kPredicted;
+    } else if (sample_cpu) {
+      const auto cpu = proc_cpu_ns(a.pid);
+      if (cpu.has_value() && *cpu > cpu_ns) why = GovKillReason::kCpu;
+    }
+    if (why.has_value()) {
+      kill_arm(i, *why, now);
+      if (a.syncing) continue;
+      --live;
+      if (now - status_[i].spawn_ns >= a.stage_ns) --running;
+      if (a.term_deadline_ns != 0) wake = std::min(wake, a.term_deadline_ns);
+      continue;
+    }
+    const std::uint64_t spawn = status_[i].spawn_ns;
+    if (wall_ns > 0) wake = std::min(wake, spawn + wall_ns);
+    if (predictable) wake = std::min(wake, spawn + a.pred_kill_ns);
+  }
+  if (cpu_ns > 0 && live > 0) wake = std::min(wake, next_cpu_ns_);
+  // Governed races (an admission or budget duty) watch pressure and shed.
+  if (gov != nullptr && (gc->tokens > 0 || wall_ns > 0 || cpu_ns > 0)) {
+    if (now >= next_pressure_ns_) {
+      next_pressure_ns_ = now + period_ns(gc->pressure_interval);
+      gov->sample_pressure(now);
+      // At the kill threshold shed this race's lowest-PI live arm (the
+      // highest index — alternatives are PI-ordered), never its last one:
+      // shedding a loser is indistinguishable from elimination, starving
+      // the whole block would trade an outcome for memory.
+      for (std::size_t i = arms_.size(); live >= 2 && i-- > 0;) {
+        const Arm& a = arms_[i];
+        if (a.reaped || a.killed || a.syncing || a.gov_kill.has_value()) {
+          continue;
+        }
+        if (gov->claim_shed(now)) {
+          kill_arm(i, GovKillReason::kShed, now);
+          if (a.term_deadline_ns != 0) {
+            wake = std::min(wake, a.term_deadline_ns);
+          }
+        }
+        break;
       }
     }
+    wake = std::min(wake, next_pressure_ns_);
+  }
+  return wake;
+}
+
+void AltGroup::kill_arm(std::size_t i, GovKillReason reason,
+                        std::uint64_t now) {
+  Arm& a = arms_[i];
+  const std::uint64_t grace_ns =
+      opts_.governor != nullptr ? to_ns(opts_.governor->config().kill_grace)
+                                : 0;
+  // A SIGTERM may still let a commit through (the grace window); a SIGKILL
+  // must not land on an arm that is synchronizing.
+  if (grace_ns == 0 && !condemn(i)) {
+    a.syncing = true;
     return;
   }
-  // Graceful elimination: SIGTERM first, so a loser with cleanup to do
-  // (flush a log, drop a lock file) gets the grace window, then SIGKILL
+  a.gov_kill = reason;  // classifies the fate at reap, whatever comes next
+  if (opts_.governor != nullptr) opts_.governor->count_kill(reason);
+  if (grace_ns > 0) {
+    ::kill(a.pid, SIGTERM);
+    a.term_deadline_ns = now + grace_ns;
+  } else {
+    ::kill(a.pid, SIGKILL);
+  }
+  emit_kill(i, grace_ns > 0 ? 0 : 1);
+  if (obs::enabled()) {
+    auto& m = obs::MetricsRegistry::global();
+    m.counter(std::string("gov_kills_") + to_string(reason)).add();
+    if (reason == GovKillReason::kPredicted) m.counter("pred_kills").add();
+  }
+}
+
+bool AltGroup::condemn(std::size_t i) {
+  if (census_ == nullptr) return true;
+  std::uint32_t racing = 0;
+  return census_[i].claim.compare_exchange_strong(racing, 2);
+}
+
+void AltGroup::emit_kill(std::size_t i, std::uint64_t stage) const {
+  // Predicted kills get their own event kind (the trace ties them back to
+  // the arm's history quantile); every other reason keeps kGovKill.
+  const Arm& a = arms_[i];
+  const bool predicted = *a.gov_kill == GovKillReason::kPredicted;
+  obs::emit(predicted ? obs::EventKind::kPredKill : obs::EventKind::kGovKill,
+            race_id_, static_cast<std::int16_t>(i + 1),
+            static_cast<std::uint64_t>(a.pid),
+            predicted ? a.pred_kill_ns
+                      : static_cast<std::uint64_t>(*a.gov_kill),
+            stage);
+}
+
+void AltGroup::poll_and_reap(int fd, std::uint64_t wake_ns) {
+  std::vector<pollfd> fds;
+  std::vector<std::size_t> who;  // fds[base + k] is arms_[who[k]]'s pidfd
+  fds.reserve(arms_.size() + 1);
+  if (fd >= 0) fds.push_back({fd, POLLIN, 0});
+  const std::size_t base = fds.size();
+  for (std::size_t i = 0; i < arms_.size(); ++i) {
+    if (arms_[i].reaped || !arms_[i].pidfd.valid()) continue;
+    fds.push_back({arms_[i].pidfd.get(), POLLIN, 0});
+    who.push_back(i);
+  }
+  const std::uint64_t now = obs::now_ns();
+  const timespec ts = to_timespec(wake_ns > now ? wake_ns - now : 0);
+  if (::ppoll(fds.data(), fds.size(), &ts, nullptr) < 0) {
+    if (errno == EINTR) return;
+    throw_errno("ppoll");
+  }
+  for (std::size_t k = 0; k < who.size(); ++k) {
+    if (fds[base + k].revents == 0) continue;
+    // Readable means exited: reap now, so reap_ns (and the wall the
+    // history learns) is exact. A pidfd whose exit wait4 cannot collect
+    // (reaped elsewhere) leaves the poll set instead of spinning it.
+    if (!reap(who[k], WNOHANG)) arms_[who[k]].pidfd.reset();
+  }
+}
+
+void AltGroup::kill_survivors() {
+  // Graceful elimination sends SIGTERM first, so a loser with cleanup to do
+  // (flush a log, drop a lock file) gets the grace window, then SIGKILLs
   // whatever is still standing. Children reaped during the window keep the
   // normal fate pipeline — a SIGTERM death is still "we killed it".
-  bool any = false;
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (!reaped_[i]) {
-      ::kill(children_[i], SIGTERM);
-      killed_[i] = true;
-      any = true;
-    }
+  const bool graceful = opts_.kill_grace.count() > 0;
+  for (Arm& a : arms_) {
+    if (a.reaped) continue;
+    ::kill(a.pid, graceful ? SIGTERM : SIGKILL);
+    a.killed = true;
   }
-  if (!any) return;
-  const auto deadline = std::chrono::steady_clock::now() + opts_.kill_grace;
-  while (std::chrono::steady_clock::now() < deadline) {
-    bool all_gone = true;
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-      if (reaped_[i]) continue;
-      int status = 0;
-      struct rusage ru {};
-      if (wait4_eintr(children_[i], &status, WNOHANG, &ru) == children_[i]) {
-        record_exit(i, status, decode_rusage(ru));
-      } else {
-        all_gone = false;
-      }
-    }
-    if (all_gone) return;
-    ::usleep(1'000);
+  if (!graceful) return;
+  const std::uint64_t deadline_ns = obs::now_ns() + to_ns(opts_.kill_grace);
+  while (!all_reaped() && obs::now_ns() < deadline_ns) {
+    poll_and_reap(-1, deadline_ns);
   }
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (!reaped_[i]) ::kill(children_[i], SIGKILL);  // grace expired
+  for (const Arm& a : arms_) {
+    if (!a.reaped) ::kill(a.pid, SIGKILL);  // grace expired
   }
 }
 
 void AltGroup::reap_all() {
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (reaped_[i]) continue;
-    int status = 0;
-    struct rusage ru {};
-    if (wait4_eintr(children_[i], &status, 0, &ru) == children_[i]) {
-      record_exit(i, status, decode_rusage(ru));
-    }
+  for (std::size_t i = 0; i < arms_.size(); ++i) {
+    if (!arms_[i].reaped) reap(i, 0);
   }
+}
+
+bool AltGroup::reap(std::size_t i, int flags) {
+  int status = 0;
+  struct rusage ru {};
+  if (wait4_eintr(arms_[i].pid, &status, flags, &ru) != arms_[i].pid) {
+    return false;
+  }
+  record_exit(i, status, decode_rusage(ru));
+  return true;
 }
 
 void AltGroup::release_remaining_tokens() {
@@ -496,14 +698,14 @@ void AltGroup::release_remaining_tokens() {
 
 void AltGroup::record_exit(std::size_t i, int status,
                            const ChildUsage& usage) {
-  reaped_[i] = true;
+  Arm& arm = arms_[i];
+  arm.reaped = true;
+  arm.pidfd.reset();
   ChildStatus& st = status_[i];
   st.usage = usage;
   st.reap_ns = obs::now_ns();
-  std::optional<GovKillReason> gov_kill;
+  const std::optional<GovKillReason>& gov_kill = arm.gov_kill;
   if (opts_.governor != nullptr) {
-    opts_.governor->unwatch(st.pid);
-    gov_kill = opts_.governor->consume_kill(st.pid);
     if (tokens_released_ < tokens_held_) {
       // One token back per reaped child: a block winding down frees budget
       // for queued blocks before its own teardown completes.
@@ -526,22 +728,22 @@ void AltGroup::record_exit(std::size_t i, int status,
     }
   } else if (info.signaled) {
     st.signal = info.signal;
-    if ((killed_[i] || gov_kill.has_value()) && verdict_.has_value() &&
+    if ((arm.killed || gov_kill.has_value()) && verdict_.has_value() &&
         static_cast<std::size_t>(verdict_->index) == i + 1) {
-      // A kill we (or the watchdog) sent caught the winner between writing
-      // its result and _exit(0). The answer was already accepted, so this
-      // is a commit — classifying it otherwise would bill the winner's CPU
-      // and pages as speculation waste.
+      // A kill we sent (to eliminate or to police it) caught the winner
+      // between writing its result and _exit(0). The answer was already
+      // accepted, so this is a commit — classifying it otherwise would bill
+      // the winner's CPU and pages as speculation waste.
       st.fate = ChildFate::kCommitted;
     } else if (gov_kill.has_value()) {
-      // The governor's watchdog killed it: over budget (wall / CPU), shed
-      // under pressure, or past its own historical kill quantile. Distinct
+      // The wait loop policed it: over budget (wall / CPU), shed under
+      // pressure, or past its own historical kill quantile. Distinct
       // from kCrashed so the supervisor and the ledger can tell containment
       // from failure.
       st.fate = *gov_kill == GovKillReason::kPredicted
                     ? ChildFate::kPredictedLoser
                     : ChildFate::kOverBudget;
-    } else if (killed_[i]) {
+    } else if (arm.killed) {
       // We sent the kill. Before a verdict it was a deadline kill (the
       // child was hung past the TIMEOUT); after one, routine elimination.
       // A child that died of its own SIGKILL in the race window between
@@ -603,7 +805,7 @@ void AltGroup::publish_census() {
 SpeculationReport AltGroup::speculation_report() const {
   SpeculationReport rep;
   for (std::size_t i = 0; i < status_.size(); ++i) {
-    if (!reaped_[i]) continue;
+    if (!arms_[i].reaped) continue;
     const ChildStatus& st = status_[i];
     rep.total_cpu_ns += st.usage.cpu_ns;
     ++rep.children_costed;
@@ -622,9 +824,7 @@ SpeculationReport AltGroup::speculation_report() const {
 
 void AltGroup::finalize_accounting() {
   if (accounted_ || !spawned_ || my_index_ != 0) return;
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (!reaped_[i]) return;  // ledger incomplete; try again at next reap
-  }
+  if (!all_reaped()) return;  // ledger incomplete; try again at next reap
   accounted_ = true;
   if (!obs::enabled()) return;
   const SpeculationReport rep = speculation_report();

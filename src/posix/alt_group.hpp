@@ -26,6 +26,17 @@
 // children's sync points and before each fork, so the real backend can run
 // the same seeded fault matrix as the simulator.
 //
+// One wait loop per race: alt_spawn opens a pidfd per child, and alt_wait
+// is a single ppoll over the result pipe and those pidfds. Its timeout is
+// the earliest of the race deadline, each arm's wall budget and predicted-
+// kill deadline, a pending SIGTERM grace, and the next CPU / pressure
+// sample; a child is reaped the moment its pidfd turns readable. Budgets,
+// predicted kills and pressure sheds therefore hold while the parent is
+// inside alt_wait, in whatever process runs the race. The loop never
+// SIGKILLs an arm that has reached its sync point (a claim word in the
+// arm's census slot decides who got there first), and it ends a hedge's
+// deferral once no arm is running.
+//
 // Observability: when tracing is enabled (ALTX_TRACE, or programmatically —
 // see obs/trace.hpp), every group takes a fresh race id and both sides
 // narrate into the shared ring: the parent emits race_begin / fork /
@@ -48,6 +59,7 @@
 #include "posix/alt_heap.hpp"
 #include "posix/fault.hpp"
 #include "posix/fd.hpp"
+#include "posix/governor.hpp"
 #include "posix/reap.hpp"
 
 namespace altx::posix {
@@ -68,11 +80,11 @@ enum class ChildFate : std::uint8_t {
                 // includes a commit lost between token and result delivery
   kHung,        // still live at the deadline; killed by the parent
   kEliminated,  // healthy loser killed by the parent after a winner emerged
-  kOverBudget,  // killed by the governor's watchdog: wall/CPU budget blown
+  kOverBudget,  // killed under the governor's rules: wall/CPU budget blown
                 // or shed under memory pressure — contained, not crashed
-  kPredictedLoser,  // killed by the watchdog's prediction rule: elapsed wall
+  kPredictedLoser,  // killed by the prediction rule: elapsed wall
                     // overran the arm's own historical kill quantile
-                    // (ALTX_PRED_KILL_Q) while a sibling was still live
+                    // (ALTX_PRED_KILL_Q) while a sibling was still running
 };
 
 const char* to_string(ChildFate fate);
@@ -113,17 +125,16 @@ enum class WaitVerdict : std::uint8_t {
 
 const char* to_string(WaitVerdict verdict);
 
-class SpeculationGovernor;
-
 struct AltGroupOptions {
   Eliminate elimination = Eliminate::kSynchronous;
   AltHeap* heap = nullptr;        // optional shared-state arena to absorb
   FaultInjector* fault = nullptr; // optional seeded fault plan
 
-  /// Resource governor consulted at spawn (admission + watchdog + child
-  /// rlimits). nullptr resolves to SpeculationGovernor::global() — the
-  /// env-configured process governor, itself nullptr when no ALTX_GOV_*
-  /// knob is set, so ungoverned runs cost one null check.
+  /// Resource governor: admission at spawn, child rlimits, and the budgets
+  /// and pressure rules alt_wait enforces. nullptr resolves to
+  /// SpeculationGovernor::global() — the env-configured process governor,
+  /// itself nullptr when no ALTX_GOV_* knob is set, so ungoverned runs cost
+  /// one null check.
   SpeculationGovernor* governor = nullptr;
 
   /// SIGTERM → SIGKILL grace for survivor elimination. Negative (the
@@ -132,10 +143,18 @@ struct AltGroupOptions {
   std::chrono::milliseconds kill_grace{-1};
 
   /// Per-child predicted-kill deadlines (ns of elapsed wall), indexed by
-  /// child number - 1, handed to the governor's watchdog at registration.
+  /// child number - 1, enforced by alt_wait with or without a governor.
   /// 0 (or an empty vector) = this child has no history and is never
   /// predicted-killed. Filled by race<T>() from the SpeculationPlanner.
   std::vector<std::uint64_t> pred_kill_ns;
+
+  /// Per-child hedge deferral (ns the child sleeps before running its
+  /// method), same indexing; kNeverRuns for an arm whose guard the plan
+  /// short-circuits to FAIL. An arm still asleep, or never to run, does not
+  /// count as running for the predicted-kill rule, which never takes a
+  /// race's last running arm.
+  std::vector<std::uint64_t> pred_stage_ns;
+  static constexpr std::uint64_t kNeverRuns = ~std::uint64_t{0};
 };
 
 struct AltWinner {
@@ -190,6 +209,11 @@ class AltGroup {
   /// returns. Also a FaultInjector sync point.
   [[noreturn]] void child_abort();
 
+  /// Child side: a hedge's deferral. Sleeps up to `ns`, or until the
+  /// parent's wait loop ends it early because no sibling is running any
+  /// more (the deferral then only delays the race).
+  void child_defer(std::uint64_t ns);
+
   /// Parent side: waits for a winner. Returns std::nullopt when every child
   /// aborted or the timeout expired (the FAIL arm); verdict() then says
   /// which. Idempotent: a second call returns the same verdict.
@@ -231,20 +255,50 @@ class AltGroup {
     std::uint64_t dirty_pages;
     std::uint64_t dirty_bytes;
     std::atomic<std::uint32_t> ready;
+    std::atomic<std::uint32_t> wake;  // futex word: parent ends a deferral
+    /// Who got to the sync point first: 0 neither, 1 the child (it may take
+    /// the token), 2 the parent (it is SIGKILLing the child).
+    std::atomic<std::uint32_t> claim;
+  };
+
+  /// Parent-side state of one forked child.
+  struct Arm {
+    pid_t pid = -1;
+    Fd pidfd;                // readable once the child has exited
+    bool reaped = false;
+    bool killed = false;     // we eliminated it (timeout or a winner)
+    bool syncing = false;    // a kill found it synchronizing: spared
+    std::optional<GovKillReason> gov_kill;  // budget / shed / predicted kill
+    std::uint64_t term_deadline_ns = 0;     // SIGTERM sent; SIGKILL due then
+    std::uint64_t pred_kill_ns = 0;         // predicted-kill deadline, elapsed
+    std::uint64_t stage_ns = 0;             // hedge deferral before it runs
   };
 
   void kill_survivors();
   void reap_all();
+  bool reap(std::size_t i, int flags);  // wait4 + record_exit
+  /// One ppoll over `fd` (when >= 0) and every unreaped child's pidfd until
+  /// `wake_ns`; reaps each child whose pidfd is readable.
+  void poll_and_reap(int fd, std::uint64_t wake_ns);
+  /// Applies the budget, predicted-kill and pressure rules at `now`;
+  /// returns when they next need a look.
+  std::uint64_t police_arms(std::uint64_t now);
+  void kill_arm(std::size_t i, GovKillReason reason, std::uint64_t now);
+  /// Claims arm i's sync point before a SIGKILL; false when the child has
+  /// claimed it first (it may hold the token: killing it loses the commit).
+  bool condemn(std::size_t i);
+  void emit_kill(std::size_t i, std::uint64_t stage) const;
+  [[nodiscard]] bool all_reaped() const;
   void release_remaining_tokens();  // admission tokens not yet returned
   void record_exit(std::size_t i, int status, const ChildUsage& usage);
   void publish_census();         // child side, before the sync point
   void finalize_accounting();    // parent side, once every child is reaped
 
   AltGroupOptions opts_;
-  std::vector<pid_t> children_;
-  std::vector<bool> reaped_;
-  std::vector<bool> killed_;  // we sent SIGKILL before it was reaped
+  std::vector<Arm> arms_;
   std::vector<ChildStatus> status_;
+  std::uint64_t next_cpu_ns_ = 0;       // next live-CPU sample (budgeted)
+  std::uint64_t next_pressure_ns_ = 0;  // next pressure look (governed)
   CensusSlot* census_ = nullptr;  // shared arena, one slot per child
   std::size_t census_slots_ = 0;
   bool accounted_ = false;  // kSpecReport emitted / metrics rolled up

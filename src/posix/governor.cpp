@@ -1,15 +1,12 @@
 #include "posix/governor.hpp"
 
-#include <poll.h>
 #include <signal.h>
-#include <sys/eventfd.h>
 #include <sys/mman.h>
 #include <sys/resource.h>
-#include <sys/syscall.h>
-#include <sys/timerfd.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,7 +14,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "posix/reap.hpp"
 
 namespace altx::posix {
 
@@ -40,14 +36,9 @@ std::chrono::milliseconds env_ms(const char* name, long long fallback) {
       static_cast<long long>(env_u64(name, static_cast<std::uint64_t>(fallback))));
 }
 
-int open_pidfd(pid_t pid) {
-#ifdef SYS_pidfd_open
-  const long fd = ::syscall(SYS_pidfd_open, pid, 0);
-  return fd >= 0 ? static_cast<int>(fd) : -1;
-#else
-  (void)pid;
-  return -1;
-#endif
+std::uint64_t ms_to_ns(std::chrono::milliseconds d) {
+  return static_cast<std::uint64_t>(std::max<long long>(1, d.count())) *
+         1'000'000ULL;
 }
 
 /// "some avg10=12.34 ..." → 12.34; -1 when the stanza is absent.
@@ -142,13 +133,13 @@ GovernorConfig GovernorConfig::from_env() {
   c.psi_kill_pct = env_double("ALTX_GOV_PSI_KILL", c.psi_kill_pct);
   c.mem_floor_pct = env_double("ALTX_GOV_MEM_FLOOR", c.mem_floor_pct);
   c.poll_interval = env_ms("ALTX_GOV_POLL_MS", c.poll_interval.count());
-  c.predict_watch = env_u64("ALTX_PRED", 0) != 0;
   return c;
 }
 
-/// The fork-wide truth: admission counters live in one MAP_SHARED page so a
-/// nested block racing inside a forked arm draws from the same pool its
-/// parent does. Kill tallies stay process-local (only the owner kills).
+/// The fork-wide truth: admission counters, kill tallies and the pressure
+/// clocks live in one MAP_SHARED page, so a nested block racing inside a
+/// forked arm draws from the same pool its parent does and its kills show
+/// in the same stats.
 ///
 /// The holder ledger tracks how many tokens each *process* currently holds.
 /// A process normally returns its tokens as it reaps; one SIGKILLed
@@ -174,7 +165,15 @@ struct SpeculationGovernor::SharedPool {
   std::atomic<std::uint64_t> overdrafts;
   std::atomic<std::uint64_t> reclaimed;
   std::atomic<std::uint64_t> degradations;
+  std::atomic<std::uint64_t> kills_wall;
+  std::atomic<std::uint64_t> kills_cpu;
+  std::atomic<std::uint64_t> kills_shed;
+  std::atomic<std::uint64_t> kills_predicted;
+  std::atomic<std::uint64_t> term_escalations;
+  std::atomic<std::uint64_t> pressure_shrinks;
   std::atomic<std::uint32_t> last_stall_pct_x100;
+  std::atomic<std::uint64_t> last_sample_ns;  // 0 = never sampled
+  std::atomic<std::uint64_t> last_shed_ns;    // 0 = never shed
   Holder holders[kMaxHolders];
 
   /// Adjusts the calling process's ledger entry by `delta` tokens.
@@ -198,18 +197,6 @@ struct SpeculationGovernor::SharedPool {
   }
 };
 
-struct SpeculationGovernor::WatchEntry {
-  pid_t pid = -1;
-  int pidfd = -1;
-  std::uint32_t race_id = 0;
-  int child_index = 0;
-  std::uint64_t start_ns = 0;
-  std::uint64_t term_deadline_ns = 0;  // nonzero once SIGTERM was sent
-  std::uint64_t pred_kill_ns = 0;      // predictor deadline (0 = no history)
-  bool killed = false;                 // SIGKILL sent; waiting for unwatch
-  GovKillReason reason = GovKillReason::kWall;
-};
-
 SpeculationGovernor::SpeculationGovernor(GovernorConfig cfg) : cfg_(cfg) {
   ALTX_REQUIRE(cfg_.tokens >= 0, "governor: tokens must be >= 0");
   ALTX_REQUIRE(cfg_.psi_kill_pct >= cfg_.psi_shed_pct,
@@ -220,63 +207,21 @@ SpeculationGovernor::SpeculationGovernor(GovernorConfig cfg) : cfg_(cfg) {
   if (p == MAP_FAILED) throw_errno("governor: mmap(pool)");
   pool_ = new (p) SharedPool{};
   pool_->effective.store(cfg_.tokens, std::memory_order_relaxed);
-
-  const bool needs_watchdog = cfg_.tokens > 0 ||
-                              cfg_.arm_wall_budget.count() > 0 ||
-                              cfg_.arm_cpu_budget.count() > 0 ||
-                              cfg_.predict_watch;
-  if (!needs_watchdog) return;
-
-  poll_pressure_now();
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake_fd_ < 0) throw_errno("governor: eventfd");
-  timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
-  if (timer_fd_ < 0) throw_errno("governor: timerfd_create");
-  const long long poll_ns =
-      std::max<long long>(1, cfg_.poll_interval.count()) * 1'000'000LL;
-  itimerspec its{};
-  its.it_interval.tv_sec = poll_ns / 1'000'000'000LL;
-  its.it_interval.tv_nsec = poll_ns % 1'000'000'000LL;
-  its.it_value = its.it_interval;
-  if (::timerfd_settime(timer_fd_, 0, &its, nullptr) != 0) {
-    throw_errno("governor: timerfd_settime");
-  }
-  watchdog_ = std::thread([this] { watchdog_loop(); });
 }
 
 SpeculationGovernor::~SpeculationGovernor() {
-  // A forked copy must not join a thread it does not have, nor unmap the
-  // pool out from under live siblings — but forked children leave through
-  // _exit, so only the owner ever runs this in practice.
-  if (::getpid() == owner_pid_ && watchdog_.joinable()) {
-    stop_.store(true, std::memory_order_release);
-    wake_watchdog();
-    watchdog_.join();
-  }
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  if (timer_fd_ >= 0) ::close(timer_fd_);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (WatchEntry& e : watches_) {
-      if (e.pidfd >= 0) ::close(e.pidfd);
-    }
-    watches_.clear();
-  }
+  // A forked copy must not unmap the pool out from under live siblings —
+  // but forked children leave through _exit, so only the owner ever runs
+  // this in practice.
   if (pool_ != nullptr && ::getpid() == owner_pid_) {
     ::munmap(pool_, sizeof(SharedPool));
   }
   pool_ = nullptr;
 }
 
-void SpeculationGovernor::wake_watchdog() {
-  if (wake_fd_ >= 0) {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
-  }
-}
-
 Admission SpeculationGovernor::admit(int n) {
   if (!admission_enabled() || n <= 0) return Admission::kGranted;
+  sample_pressure(obs::now_ns());
   if (n > cfg_.tokens) {
     // Wider than the base budget: no amount of queueing can ever fit it.
     // Deny immediately so the caller degrades now instead of after a
@@ -398,55 +343,10 @@ int SpeculationGovernor::reconcile_dead_holders() {
   return reclaimed;
 }
 
-void SpeculationGovernor::watch(pid_t pid, std::uint32_t race_id,
-                                int child_index,
-                                std::uint64_t pred_kill_ns) {
-  // Only the owner process has the thread that can act on a watch; a forked
-  // copy registering would leak entries nobody scans.
-  if (::getpid() != owner_pid_ || !watchdog_.joinable()) return;
-  if (cfg_.arm_wall_budget.count() == 0 && cfg_.arm_cpu_budget.count() == 0 &&
-      cfg_.psi_kill_pct >= 100.0 && cfg_.tokens == 0 && !cfg_.predict_watch &&
-      pred_kill_ns == 0) {
-    return;
-  }
-  WatchEntry e;
-  e.pid = pid;
-  e.pidfd = open_pidfd(pid);
-  e.race_id = race_id;
-  e.child_index = child_index;
-  e.pred_kill_ns = pred_kill_ns;
-  e.start_ns = obs::now_ns();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    watches_.push_back(e);
-  }
-  wake_watchdog();
-}
-
-void SpeculationGovernor::unwatch(pid_t pid) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t i = 0; i < watches_.size(); ++i) {
-    if (watches_[i].pid == pid) {
-      if (watches_[i].pidfd >= 0) ::close(watches_[i].pidfd);
-      watches_.erase(watches_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
-}
-
-std::optional<GovKillReason> SpeculationGovernor::consume_kill(pid_t pid) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = kills_.find(pid);
-  if (it == kills_.end()) return std::nullopt;
-  const GovKillReason r = it->second;
-  kills_.erase(it);
-  return r;
-}
-
 void SpeculationGovernor::apply_child_rlimits() const {
   if (cfg_.rlimit_cpu_s > 0) {
     // Soft limit delivers SIGXCPU at the budget, hard limit SIGKILLs one
-    // second later — the kernel-side backstop behind the watchdog.
+    // second later — the kernel-side backstop behind the CPU budget.
     struct rlimit rl{static_cast<rlim_t>(cfg_.rlimit_cpu_s),
                      static_cast<rlim_t>(cfg_.rlimit_cpu_s + 1)};
     ::setrlimit(RLIMIT_CPU, &rl);
@@ -480,12 +380,12 @@ GovernorStats SpeculationGovernor::stats() const {
   s.in_flight = pool_->in_flight.load(std::memory_order_relaxed);
   s.max_in_flight = pool_->max_in_flight.load(std::memory_order_relaxed);
   s.effective_tokens = pool_->effective.load(std::memory_order_relaxed);
-  s.kills_wall = kills_wall_.load(std::memory_order_relaxed);
-  s.kills_cpu = kills_cpu_.load(std::memory_order_relaxed);
-  s.kills_shed = kills_shed_.load(std::memory_order_relaxed);
-  s.kills_predicted = kills_predicted_.load(std::memory_order_relaxed);
-  s.term_escalations = term_escalations_.load(std::memory_order_relaxed);
-  s.pressure_shrinks = pressure_shrinks_.load(std::memory_order_relaxed);
+  s.kills_wall = pool_->kills_wall.load(std::memory_order_relaxed);
+  s.kills_cpu = pool_->kills_cpu.load(std::memory_order_relaxed);
+  s.kills_shed = pool_->kills_shed.load(std::memory_order_relaxed);
+  s.kills_predicted = pool_->kills_predicted.load(std::memory_order_relaxed);
+  s.term_escalations = pool_->term_escalations.load(std::memory_order_relaxed);
+  s.pressure_shrinks = pool_->pressure_shrinks.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -509,7 +409,9 @@ void SpeculationGovernor::apply_pressure(const PressureSample& s) {
   eff = std::clamp(eff, 1, cfg_.tokens);
   const int old = pool_->effective.exchange(eff, std::memory_order_relaxed);
   if (eff != old) {
-    if (eff < old) pressure_shrinks_.fetch_add(1, std::memory_order_relaxed);
+    if (eff < old) {
+      pool_->pressure_shrinks.fetch_add(1, std::memory_order_relaxed);
+    }
     obs::emit(obs::EventKind::kGovBudget, 0, 0,
               static_cast<std::uint64_t>(eff),
               static_cast<std::uint64_t>(cfg_.tokens),
@@ -526,185 +428,40 @@ void SpeculationGovernor::poll_pressure_now() {
   apply_pressure(read_pressure(cfg_.psi_path));
 }
 
-void SpeculationGovernor::escalate(WatchEntry& e, GovKillReason reason,
-                                   std::uint64_t now_ns) {
-  // First escalation records the kill (for fate classification at reap) and
-  // counts it once, whatever the ladder does afterwards.
-  kills_.emplace(e.pid, reason);
+void SpeculationGovernor::sample_pressure(std::uint64_t now_ns) {
+  std::uint64_t last = pool_->last_sample_ns.load(std::memory_order_relaxed);
+  if (last != 0 && now_ns - last < ms_to_ns(cfg_.pressure_interval)) return;
+  // One sampler per interval across the tree; the losers of the claim read
+  // the winner's result from the pool.
+  if (pool_->last_sample_ns.compare_exchange_strong(last, now_ns)) {
+    poll_pressure_now();
+  }
+}
+
+bool SpeculationGovernor::claim_shed(std::uint64_t now_ns) {
+  const double stall =
+      pool_->last_stall_pct_x100.load(std::memory_order_relaxed) / 100.0;
+  if (stall < cfg_.psi_kill_pct) return false;
+  std::uint64_t last = pool_->last_shed_ns.load(std::memory_order_relaxed);
+  if (last != 0 && now_ns - last < ms_to_ns(cfg_.pressure_interval)) {
+    return false;
+  }
+  return pool_->last_shed_ns.compare_exchange_strong(last, now_ns);
+}
+
+void SpeculationGovernor::count_kill(GovKillReason reason) {
+  std::atomic<std::uint64_t>* tally = &pool_->kills_wall;
   switch (reason) {
-    case GovKillReason::kWall:
-      kills_wall_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case GovKillReason::kCpu:
-      kills_cpu_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case GovKillReason::kShed:
-      kills_shed_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case GovKillReason::kPredicted:
-      kills_predicted_.fetch_add(1, std::memory_order_relaxed);
-      break;
+    case GovKillReason::kWall: break;
+    case GovKillReason::kCpu: tally = &pool_->kills_cpu; break;
+    case GovKillReason::kShed: tally = &pool_->kills_shed; break;
+    case GovKillReason::kPredicted: tally = &pool_->kills_predicted; break;
   }
-  e.reason = reason;
-  // Predicted kills get their own event kind (the trace ties them back to
-  // the arm's history quantile); every other reason keeps kGovKill.
-  const bool predicted = reason == GovKillReason::kPredicted;
-  const obs::EventKind kind =
-      predicted ? obs::EventKind::kPredKill : obs::EventKind::kGovKill;
-  const std::uint64_t b =
-      predicted ? e.pred_kill_ns : static_cast<std::uint64_t>(reason);
-  if (cfg_.kill_grace.count() > 0) {
-    ::kill(e.pid, SIGTERM);
-    e.term_deadline_ns =
-        now_ns + static_cast<std::uint64_t>(cfg_.kill_grace.count()) * 1'000'000ULL;
-    obs::emit(kind, e.race_id, static_cast<std::int16_t>(e.child_index),
-              static_cast<std::uint64_t>(e.pid), b, /*stage=*/0);
-  } else {
-    ::kill(e.pid, SIGKILL);
-    e.killed = true;
-    obs::emit(kind, e.race_id, static_cast<std::int16_t>(e.child_index),
-              static_cast<std::uint64_t>(e.pid), b, /*stage=*/1);
-  }
-  if (obs::enabled()) {
-    auto& m = obs::MetricsRegistry::global();
-    m.counter(std::string("gov_kills_") + to_string(reason)).add();
-    if (predicted) m.counter("pred_kills").add();
-  }
+  tally->fetch_add(1, std::memory_order_relaxed);
 }
 
-void SpeculationGovernor::shed_lowest_pi(std::uint64_t now_ns) {
-  // One arm per pressure tick, lowest PI first (the highest alternative
-  // index — alternatives are PI-ordered), and never a block's last live
-  // arm: shedding a loser is indistinguishable from elimination, while
-  // starving a whole block would trade an outcome for memory.
-  std::unordered_map<std::uint32_t, int> live_per_race;
-  for (const WatchEntry& e : watches_) {
-    if (!e.killed && e.term_deadline_ns == 0) ++live_per_race[e.race_id];
-  }
-  WatchEntry* victim = nullptr;
-  for (WatchEntry& e : watches_) {
-    if (e.killed || e.term_deadline_ns != 0) continue;
-    if (live_per_race[e.race_id] < 2) continue;
-    if (victim == nullptr || e.child_index > victim->child_index) victim = &e;
-  }
-  if (victim != nullptr) escalate(*victim, GovKillReason::kShed, now_ns);
-}
-
-void SpeculationGovernor::watchdog_loop() {
-  const std::uint64_t wall_ns =
-      static_cast<std::uint64_t>(cfg_.arm_wall_budget.count()) * 1'000'000ULL;
-  const std::uint64_t cpu_ns =
-      static_cast<std::uint64_t>(cfg_.arm_cpu_budget.count()) * 1'000'000ULL;
-  const std::uint64_t pressure_ns =
-      static_cast<std::uint64_t>(
-          std::max<long long>(1, cfg_.pressure_interval.count())) *
-      1'000'000ULL;
-  std::uint64_t next_pressure_ns = obs::now_ns() + pressure_ns;
-
-  std::vector<pollfd> fds;
-  std::vector<pid_t> fd_pids;  // fds[i+2] belongs to fd_pids[i]
-  while (!stop_.load(std::memory_order_acquire)) {
-    fds.clear();
-    fd_pids.clear();
-    fds.push_back({wake_fd_, POLLIN, 0});
-    fds.push_back({timer_fd_, POLLIN, 0});
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const WatchEntry& e : watches_) {
-        if (e.pidfd >= 0) {
-          fds.push_back({e.pidfd, POLLIN, 0});
-          fd_pids.push_back(e.pid);
-        }
-      }
-    }
-    ::poll(fds.data(), fds.size(), /*timeout ms=*/100);
-    if (stop_.load(std::memory_order_acquire)) break;
-    std::uint64_t scratch;
-    if (fds[0].revents & POLLIN) {
-      while (::read(wake_fd_, &scratch, sizeof scratch) > 0) {
-      }
-    }
-    if (fds[1].revents & POLLIN) {
-      while (::read(timer_fd_, &scratch, sizeof scratch) > 0) {
-      }
-    }
-
-    const std::uint64_t now = obs::now_ns();
-    if (now >= next_pressure_ns) {
-      poll_pressure_now();
-      next_pressure_ns = now + pressure_ns;
-    }
-
-    std::lock_guard<std::mutex> lock(mu_);
-    // Arms whose pidfd signalled have exited on their own; drop the watch
-    // (the parent still reaps and bills them — we only stop threatening).
-    for (std::size_t i = 0; i + 2 < fds.size() + 0 && i < fd_pids.size(); ++i) {
-      if ((fds[i + 2].revents & (POLLIN | POLLERR | POLLNVAL)) == 0) continue;
-      for (std::size_t j = 0; j < watches_.size(); ++j) {
-        if (watches_[j].pid == fd_pids[i]) {
-          if (watches_[j].pidfd >= 0) ::close(watches_[j].pidfd);
-          watches_.erase(watches_.begin() + static_cast<std::ptrdiff_t>(j));
-          break;
-        }
-      }
-    }
-    // Live-arm census for the predictor's liveness rule, built only when an
-    // entry actually carries a predicted deadline. Counts registered arms
-    // that have not been threatened yet — an undercount versus the block's
-    // true live set is conservative (we refuse a kill, never over-kill).
-    std::unordered_map<std::uint32_t, int> pred_live;
-    bool any_pred = false;
-    for (const WatchEntry& e : watches_) {
-      if (e.pred_kill_ns > 0) any_pred = true;
-    }
-    if (any_pred) {
-      for (const WatchEntry& e : watches_) {
-        if (!e.killed && e.term_deadline_ns == 0) ++pred_live[e.race_id];
-      }
-    }
-    for (WatchEntry& e : watches_) {
-      if (e.killed) continue;
-      if (e.term_deadline_ns != 0) {
-        if (now >= e.term_deadline_ns) {
-          ::kill(e.pid, SIGKILL);  // grace expired: escalate
-          e.killed = true;
-          term_escalations_.fetch_add(1, std::memory_order_relaxed);
-          const bool predicted = e.reason == GovKillReason::kPredicted;
-          obs::emit(predicted ? obs::EventKind::kPredKill
-                              : obs::EventKind::kGovKill,
-                    e.race_id, static_cast<std::int16_t>(e.child_index),
-                    static_cast<std::uint64_t>(e.pid),
-                    predicted ? e.pred_kill_ns
-                              : static_cast<std::uint64_t>(e.reason),
-                    /*stage=*/1);
-        }
-        continue;
-      }
-      if (wall_ns > 0 && now - e.start_ns > wall_ns) {
-        escalate(e, GovKillReason::kWall, now);
-        continue;
-      }
-      // Predicted early kill: this arm has overrun its own historical kill
-      // quantile. Arms with no history carry pred_kill_ns == 0 and are never
-      // considered; the last live arm of a race is always spared (liveness —
-      // a mispredicting model must degrade to sequential, never to wedged).
-      if (e.pred_kill_ns > 0 && now - e.start_ns > e.pred_kill_ns &&
-          pred_live[e.race_id] >= 2) {
-        --pred_live[e.race_id];
-        escalate(e, GovKillReason::kPredicted, now);
-        continue;
-      }
-      if (cpu_ns > 0) {
-        const auto cpu = proc_cpu_ns(e.pid);
-        if (cpu.has_value() && *cpu > cpu_ns) {
-          escalate(e, GovKillReason::kCpu, now);
-        }
-      }
-    }
-    const double stall =
-        pool_->last_stall_pct_x100.load(std::memory_order_relaxed) / 100.0;
-    if (stall >= cfg_.psi_kill_pct) shed_lowest_pi(now);
-  }
+void SpeculationGovernor::count_escalation() {
+  pool_->term_escalations.fetch_add(1, std::memory_order_relaxed);
 }
 
 SpeculationGovernor* SpeculationGovernor::global() {

@@ -22,9 +22,12 @@
 //             guard short-circuited to FAIL without running the method.
 //
 // Separately, each warm arm gets an early-kill deadline — its own
-// historical ALTX_PRED_KILL_Q quantile (default p99). The governor's
-// watchdog escalates arms past their deadline as ChildFate::kPredictedLoser,
-// never an arm with no history and never the race's last live arm.
+// historical ALTX_PRED_KILL_Q quantile (default p99). The race's own wait
+// loop (AltGroup::alt_wait) escalates arms past their deadline as
+// ChildFate::kPredictedLoser, with or without a governor, while the parent
+// is inside alt_wait — never an arm with no history and never the race's
+// last running arm (a hedge still asleep in its deferral does not count,
+// nor does a skipped arm).
 //
 // The plan is a pure function of (config, history snapshot, pressure):
 // given a fixed store it is deterministic, and with a cold store it

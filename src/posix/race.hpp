@@ -16,8 +16,6 @@
 // counts as a failed guard.
 #pragma once
 
-#include <time.h>
-
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -88,7 +86,7 @@ struct RaceReport {
   int crashed = 0;
   int hung = 0;
   int eliminated = 0;
-  int over_budget = 0;  // killed by the governor's watchdog
+  int over_budget = 0;  // killed under the governor's budget / shed rules
   int predicted_losers = 0;  // killed by the predictor's early-kill rule
 
   /// What the plan decided (zero when prediction was off or the plan was
@@ -185,7 +183,7 @@ std::optional<RaceResult<T>> race(const std::vector<AlternativeFn<T>>& alts,
   const int n = static_cast<int>(alts.size());
 
   // Prediction-driven planning. The plan is computed before the forks so
-  // its per-arm kill deadlines ride into the watchdog registration; an
+  // its per-arm kill deadlines ride into the group's wait loop; an
   // inactive plan (cold store, predict off, no site) changes nothing below.
   std::optional<SpeculationPlanner> local_planner;
   const SpeculationPlanner* planner = options.planner;
@@ -214,12 +212,15 @@ std::optional<RaceResult<T>> race(const std::vector<AlternativeFn<T>>& alts,
   go.governor = options.governor;
   go.kill_grace = options.kill_grace;
   if (plan.active) {
-    go.pred_kill_ns.resize(
-        static_cast<std::size_t>(n) *
-        static_cast<std::size_t>(options.replicas));
-    for (std::size_t j = 0; j < go.pred_kill_ns.size(); ++j) {
-      go.pred_kill_ns[j] =
-          plan.arms[j % static_cast<std::size_t>(n)].kill_after_ns;
+    const std::size_t children = static_cast<std::size_t>(n) *
+                                 static_cast<std::size_t>(options.replicas);
+    for (std::size_t j = 0; j < children; ++j) {
+      const ArmPlan& ap = plan.arms[j % static_cast<std::size_t>(n)];
+      go.pred_kill_ns.push_back(ap.kill_after_ns);
+      go.pred_stage_ns.push_back(
+          ap.decision == ArmDecision::kHedge  ? ap.stage_after_ns
+          : ap.decision == ArmDecision::kSkip ? AltGroupOptions::kNeverRuns
+                                              : 0);
     }
   }
   AltGroup group(go);
@@ -241,11 +242,9 @@ std::optional<RaceResult<T>> race(const std::vector<AlternativeFn<T>>& alts,
         // Deferred arm (the hedged.hpp stagger discipline): sleep out the
         // leader's predicted quantile. A leader that commits first
         // eliminates this child while it is still asleep — nearly free; a
-        // leader that overruns finds its backup already warming up.
-        const std::uint64_t us = ap->stage_after_ns / 1000;
-        timespec ts{static_cast<time_t>(us / 1'000'000),
-                    static_cast<long>(us % 1'000'000 * 1000)};
-        ::nanosleep(&ts, nullptr);
+        // leader that overruns finds its backup already warming up, and
+        // one that fails wakes it at once.
+        group.child_defer(ap->stage_after_ns);
         obs::emit(obs::EventKind::kPredStage, group.race_id(),
                   static_cast<std::int16_t>(who), ap->stage_after_ns,
                   ap->predicted_wall_ns);
@@ -287,6 +286,8 @@ std::optional<RaceResult<T>> race(const std::vector<AlternativeFn<T>>& alts,
       for (std::size_t i = 0; i < sts.size(); ++i) {
         const ChildStatus& st = sts[i];
         if (st.fate == ChildFate::kRunning) continue;  // async, unreaped
+        std::uint64_t wall =
+            st.reap_ns > st.spawn_ns ? st.reap_ns - st.spawn_ns : 0;
         if (plan.active) {
           const ArmPlan& ap = plan.arms[i % static_cast<std::size_t>(n)];
           // A skipped arm never ran its method, and a hedged arm that lost
@@ -294,11 +295,19 @@ std::optional<RaceResult<T>> race(const std::vector<AlternativeFn<T>>& alts,
           // sample into the history would teach the store that a slow arm
           // is fast — a self-fulfilling prophecy that unravels the plan.
           // Hedged arms still record when they commit (a real observation,
-          // and the success the planner needs to see).
+          // and the success the planner needs to see) and when they were
+          // killed past their deadline ("at least this slow": without it a
+          // deadline learned from censored loser walls kills the hedge
+          // before it can ever commit, and the plan never heals). Either
+          // way the sample is the run after the deferral, as the kill
+          // deadline (quantile + stage) assumes.
           if (ap.decision == ArmDecision::kSkip) continue;
-          if (ap.decision == ArmDecision::kHedge &&
-              st.fate != ChildFate::kCommitted) {
-            continue;
+          if (ap.decision == ArmDecision::kHedge) {
+            if (st.fate != ChildFate::kCommitted &&
+                st.fate != ChildFate::kPredictedLoser) {
+              continue;
+            }
+            wall = wall > ap.stage_after_ns ? wall - ap.stage_after_ns : 0;
           }
         }
         const std::uint32_t arm =
@@ -306,8 +315,6 @@ std::optional<RaceResult<T>> race(const std::vector<AlternativeFn<T>>& alts,
                 ? options.history_arm
                 : static_cast<std::uint32_t>(i % static_cast<std::size_t>(n)) +
                       1;
-        const std::uint64_t wall =
-            st.reap_ns > st.spawn_ns ? st.reap_ns - st.spawn_ns : 0;
         h->record(options.site_id, arm, wall, st.usage.cpu_ns,
                   st.fate == ChildFate::kCommitted);
       }

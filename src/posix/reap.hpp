@@ -56,7 +56,7 @@ inline pid_t wait4_eintr(pid_t pid, int* status, int flags,
 
 /// Live CPU (user + system, ns) of a still-running child from
 /// /proc/<pid>/stat. wait4's rusage only exists once the child is reaped;
-/// the governor's watchdog needs the bill *before* death to enforce a CPU
+/// the wait loop needs the bill *before* death to enforce a CPU
 /// budget, and /proc is the only place the kernel publishes it for a live
 /// process. nullopt when the pid is gone or /proc is unreadable.
 [[nodiscard]] inline std::optional<std::uint64_t> proc_cpu_ns(pid_t pid) {

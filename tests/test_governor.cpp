@@ -1,18 +1,28 @@
 // Tests for the SpeculationGovernor (src/posix/governor.*): per-arm wall and
-// CPU budgets enforced by the watchdog, SIGTERM→SIGKILL grace escalation,
+// CPU budgets enforced by the race's own wait loop (also in a forked
+// process, with no library thread), SIGTERM→SIGKILL grace escalation, the
+// all-FAIL verdict at the last arm's exit, pidfd exhaustion at spawn,
 // global admission control with single-token overdrafts, degradation of
 // denied blocks to serialized forked execution, PSI-driven budget shrinking
 // (through an ALTX_PSI_PATH-style fixture file), and the bounded in-place
 // fork EAGAIN retry against the fork_storm fault.
+#include <dirent.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/mman.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "constrained.hpp"
@@ -120,6 +130,157 @@ TEST(Governor, CooperativeArmDiesInsideTheGraceWindow) {
   // the generous grace window must not delay the verdict to its full width.
   EXPECT_LT(dt, 1'000ms);
   EXPECT_EQ(gov.stats().term_escalations, 0u);
+}
+
+TEST(Governor, AllFailedBlockIsDecidedAtTheLastExit) {
+  ALTX_SKIP_IF_CONSTRAINED(8, 256);
+  // Three guards that fail at once: the verdict is due the moment the last
+  // arm exits, not at the end of a polling slice. Timed from the last
+  // guard's return (each arm stamps a shared slot), so the measure is the
+  // verdict's lag and not the fork cost, which sanitizer builds multiply.
+  using Clock = std::chrono::steady_clock;
+  void* shared = ::mmap(nullptr, 3 * sizeof(Clock::rep), PROT_READ | PROT_WRITE,
+                        MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(shared, MAP_FAILED);
+  auto* returned = static_cast<volatile Clock::rep*>(shared);
+  auto fail_at_once = [returned](int k) -> AlternativeFn<int> {
+    return [returned, k]() -> std::optional<int> {
+      returned[k] = Clock::now().time_since_epoch().count();
+      return std::nullopt;
+    };
+  };
+  std::vector<double> ms;
+  for (int i = 0; i < 9; ++i) {
+    RaceReport report;
+    RaceOptions opts;
+    opts.report = &report;
+    opts.timeout = 5'000ms;
+    const auto r =
+        race<int>({fail_at_once(0), fail_at_once(1), fail_at_once(2)}, opts);
+    const Clock::rep done = Clock::now().time_since_epoch().count();
+    const Clock::rep last =
+        std::max({returned[0], returned[1], returned[2]});
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     Clock::duration(done - last))
+                     .count());
+    EXPECT_FALSE(r.has_value());
+    EXPECT_EQ(report.verdict, WaitVerdict::kAllFailed);
+    EXPECT_EQ(report.aborted, 3);
+  }
+  ::munmap(shared, 3 * sizeof(Clock::rep));
+  std::nth_element(ms.begin(), ms.begin() + 4, ms.end());
+  EXPECT_LT(ms[4], 5.0) << "median lag from the last guard's FAIL to the "
+                           "race's return, ms";
+}
+
+TEST(Governor, BudgetHoldsInAForkedProcessRacingUnderTheGovernor) {
+  ALTX_SKIP_IF_CONSTRAINED(8, 256);
+  // The governor is built here; the race runs in a forked child, as in an
+  // altxd worker or a race nested inside an arm. The child's own wait loop
+  // must enforce the budget.
+  GovernorConfig gc = watchdog_config();
+  gc.arm_wall_budget = 60ms;
+  SpeculationGovernor gov(gc);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(fds[0]);
+    RaceReport report;
+    RaceOptions opts;
+    opts.governor = &gov;
+    opts.report = &report;
+    opts.timeout = 5'000ms;
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)race<int>(
+        {[]() -> std::optional<int> { ::usleep(5'000'000); return 1; }}, opts);
+    const long long out[2] = {
+        report.over_budget,
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count()};
+    (void)!::write(fds[1], out, sizeof out);
+    ::_exit(0);
+  }
+  ::close(fds[1]);
+  long long got[2] = {-1, -1};
+  const ssize_t n = ::read(fds[0], got, sizeof got);
+  ::close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_EQ(n, static_cast<ssize_t>(sizeof got));
+  EXPECT_EQ(got[0], 1) << "over_budget reported by the forked racer";
+  EXPECT_LT(got[1], 2'000) << "ms until the forked race returned";
+  EXPECT_GE(gov.stats().kills_wall, 1u);  // tallied in the shared pool
+}
+
+TEST(Governor, NoLibraryThreadSurvivesABudgetedRace) {
+  ALTX_SKIP_IF_CONSTRAINED(8, 256);
+  GovernorConfig gc = watchdog_config();
+  gc.tokens = 4;
+  gc.arm_wall_budget = 500ms;
+  gc.arm_cpu_budget = 500ms;
+  SpeculationGovernor gov(gc);
+  RaceOptions opts;
+  opts.governor = &gov;
+  const auto r = race<int>({[] { return std::optional<int>(1); },
+                            [] { return std::optional<int>(2); }},
+                           opts);
+  ASSERT_TRUE(r.has_value());
+  int threads = 0;
+  if (DIR* d = ::opendir("/proc/self/task")) {
+    while (const dirent* e = ::readdir(d)) {
+      if (e->d_name[0] != '.') ++threads;
+    }
+    ::closedir(d);
+  }
+  EXPECT_EQ(threads, 1);
+}
+
+TEST(Governor, PidfdExhaustionFailsTheSpawnCleanly) {
+  ALTX_SKIP_IF_CONSTRAINED(8, 256);
+  // In a forked child (its fd table is its own): leave room for the two
+  // race pipes and two pidfds, so the third arm's pidfd_open hits EMFILE.
+  // (The two pidfds the abandoned cohort frees are what a sanitizer's own
+  // pipe-based checks need at the throw.) The spawn must throw and leave
+  // no child behind.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    rlimit rl{};
+    ::getrlimit(RLIMIT_NOFILE, &rl);
+    rl.rlim_cur = std::min<rlim_t>(rl.rlim_cur, 64);
+    ::setrlimit(RLIMIT_NOFILE, &rl);
+    std::vector<int> held;
+    for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) held.push_back(fd);
+    if (held.size() < 6) ::_exit(4);
+    for (int k = 0; k < 6; ++k) {
+      ::close(held.back());
+      held.pop_back();
+    }
+    int code = 1;  // the race must not run
+    try {
+      RaceOptions opts;
+      opts.timeout = 5'000ms;
+      (void)race<int>(
+          {[]() -> std::optional<int> { ::usleep(5'000'000); return 1; },
+           []() -> std::optional<int> { ::usleep(5'000'000); return 2; },
+           []() -> std::optional<int> { ::usleep(5'000'000); return 3; }},
+          opts);
+    } catch (const SystemError& e) {
+      const bool at_pidfd = std::string(e.what()).rfind("pidfd_open", 0) == 0;
+      code = e.code() == EMFILE && at_pidfd ? 0 : 2;
+    }
+    if (::waitpid(-1, nullptr, WNOHANG) != -1 || errno != ECHILD) code = 3;
+    ::_exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: spawn succeeded, 2: not EMFILE at pidfd_open, 3: a child was "
+         "left, 4: no fds";
 }
 
 TEST(Governor, MultiArmAdmissionIsDeniedWhenTheBudgetIsBusy) {

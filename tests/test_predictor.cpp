@@ -1,5 +1,5 @@
 // Tests for the SpeculationPlanner (src/posix/predictor.*) and the
-// prediction wiring through race<T>() and the governor's watchdog: plan
+// prediction wiring through race<T>() and the race's wait loop: plan
 // partitioning over synthetic histories (launch / hedge / skip), staged
 // hedges that sleep out the leader's predicted quantile, early kills of
 // arms past their own historical kill quantile (ChildFate::kPredictedLoser)
@@ -9,6 +9,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <string>
@@ -16,6 +17,7 @@
 #include "constrained.hpp"
 #include "obs/history.hpp"
 #include "obs/trace.hpp"
+#include "posix/alt_heap.hpp"
 #include "posix/governor.hpp"
 #include "posix/predictor.hpp"
 #include "posix/race.hpp"
@@ -290,6 +292,75 @@ TEST_F(PredictorRace, StagedHedgeFiresWhenTheLeaderOverruns) {
   EXPECT_TRUE(staged);
 }
 
+TEST_F(PredictorRace, HedgeWakesWhenNoArmIsRunning) {
+  ALTX_SKIP_IF_CONSTRAINED(8, 256);
+  obs::HistoryStore store(64);
+  teach(store, 1, 2 * kMs, true);
+  teach(store, 2, 50 * kMs, false);
+  PredictorConfig cfg = test_config();
+  cfg.stage_slack = 100.0;  // stage at 200 ms
+  SpeculationPlanner planner(cfg, &store);
+
+  RaceOptions opts;
+  opts.timeout = 5'000ms;
+  opts.site_id = kSite;
+  opts.planner = &planner;
+  RaceReport rep;
+  opts.report = &rep;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto r = race<int>(
+      {[] { ::usleep(1'000); return std::optional<int>(); },
+       [] { return std::optional<int>(7); }},
+      opts);
+  const auto dt = std::chrono::steady_clock::now() - t0;
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->winner, 2);
+  EXPECT_EQ(rep.pred_hedged, 1);
+  // The leader failed after ~1 ms: with no arm left running, the deferral
+  // only delays the race, and the hedge is woken instead of sleeping out
+  // its 200 ms.
+  EXPECT_LT(dt, 100ms);
+}
+
+TEST_F(PredictorRace, KilledHedgeRecordsItsRunAfterTheDeferral) {
+  ALTX_SKIP_IF_CONSTRAINED(8, 256);
+  // The global store, so the race's own history loop writes where the
+  // assertions read.
+  obs::HistoryStore& store = *obs::history_enable_for_test(64);
+  teach(store, 1, 2 * kMs, true);
+  teach(store, 1, 400 * kMs, true, 2);  // the leader's p99 is far away
+  teach(store, 2, 20 * kMs, false);     // dominated: hedged
+  PredictorConfig cfg = test_config();
+  cfg.stage_slack = 10.0;  // stage at 20 ms; arm 2's deadline at 20 + 20
+  SpeculationPlanner planner(cfg, &store);
+
+  RaceOptions opts;
+  opts.timeout = 5'000ms;
+  opts.site_id = kSite;
+  opts.planner = &planner;
+  RaceReport rep;
+  opts.report = &rep;
+  const auto r = race<int>(
+      {[] { ::usleep(200'000); return std::optional<int>(1); },
+       [] { ::usleep(1'000'000); return std::optional<int>(2); }},
+      opts);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->winner, 1);
+  EXPECT_EQ(rep.pred_hedged, 1);
+  EXPECT_EQ(rep.predicted_losers, 1);
+  // The hedge ran past its deadline and was killed: one failed sample of
+  // what it ran after waking (~20 ms), not of its wall since fork (~40 ms).
+  // Without it a deadline learned from censored walls would kill the hedge
+  // before it could ever commit, and the plan would never heal.
+  const obs::ArmStats* s = store.find(kSite, 2);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->total, 11u);
+  EXPECT_EQ(s->successes, 0u);
+  EXPECT_GE(s->max_wall_ns, 20 * kMs);
+  EXPECT_LT(s->max_wall_ns, 40 * kMs);
+  obs::history_disable_for_test();
+}
+
 TEST_F(PredictorRace, OverrunningArmIsKilledAsPredictedLoser) {
   ALTX_SKIP_IF_CONSTRAINED(8, 256);
   obs::HistoryStore store(64);
@@ -298,8 +369,7 @@ TEST_F(PredictorRace, OverrunningArmIsKilledAsPredictedLoser) {
   SpeculationPlanner planner(test_config(), &store);
 
   GovernorConfig gc;
-  gc.predict_watch = true;  // every arm registers, so the live census is
-  gc.poll_interval = 2ms;   // accurate (ALTX_PRED=1 sets this in prod)
+  gc.poll_interval = 2ms;
   SpeculationGovernor gov(gc);
 
   RaceOptions opts;
@@ -325,6 +395,84 @@ TEST_F(PredictorRace, OverrunningArmIsKilledAsPredictedLoser) {
   EXPECT_GE(count_kind(recs, EventKind::kPredKill), 1);
 }
 
+TEST_F(PredictorRace, PredictedKillNeedsNoGovernor) {
+  ALTX_SKIP_IF_CONSTRAINED(8, 256);
+  // OverrunningArmIsKilledAsPredictedLoser with no governor at all: the
+  // planner's deadlines are enforced by the race's own wait loop.
+  obs::HistoryStore store(64);
+  teach(store, 1, 5 * kMs, true);
+  teach(store, 2, 8 * kMs, true);
+  SpeculationPlanner planner(test_config(), &store);
+
+  RaceOptions opts;
+  opts.timeout = 5'000ms;
+  opts.site_id = kSite;
+  opts.planner = &planner;
+  opts.governor = nullptr;
+  RaceReport rep;
+  opts.report = &rep;
+  const auto r = race<int>(
+      {[] { ::usleep(500'000); return std::optional<int>(1); },
+       [] { ::usleep(30'000); return std::optional<int>(2); }},
+      opts);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->winner, 2);
+  EXPECT_EQ(rep.predicted_losers, 1);
+  EXPECT_EQ(rep.committed, 1);
+  EXPECT_GE(count_kind(obs::snapshot(), EventKind::kPredKill), 1);
+}
+
+TEST_F(PredictorRace, PredictedKillNeverLosesACommit) {
+  ALTX_SKIP_IF_CONSTRAINED(8, 512);
+  // A winner that dirtied every page of a 16 MiB arena spends milliseconds
+  // serializing them after it took the token. Deadlines swept across the
+  // end of its run land before, inside and after that window; a SIGKILL
+  // inside it would lose the commit and FAIL the block, so the wait loop
+  // must spare an arm that reached its sync point.
+  AltHeap heap(4096);
+  const AlternativeFn<int> writer = [&heap]() -> std::optional<int> {
+    for (std::size_t p = 0; p < heap.pages(); ++p) {
+      *heap.at<char>(p * heap.page_size()) = 1;
+    }
+    return 1;
+  };
+  RaceOptions calib;
+  calib.heap = &heap;
+  std::uint64_t wall = ~0ULL;  // fastest of three single-arm commits
+  for (int i = 0; i < 3; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(race<int>({writer}, calib));
+    wall = std::min<std::uint64_t>(
+        wall, static_cast<std::uint64_t>(
+                  std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count()));
+  }
+  int predicted_losers = 0;
+  for (int i = 0; i < 16; ++i) {
+    const std::uint64_t deadline = wall * (30 + 5 * i) / 100;
+    obs::HistoryStore store(16);
+    teach(store, 1, deadline, true);
+    teach(store, 2, deadline, true);
+    SpeculationPlanner planner(test_config(), &store);
+    RaceOptions opts;
+    opts.heap = &heap;
+    opts.timeout = 5'000ms;
+    opts.site_id = kSite;
+    opts.planner = &planner;
+    RaceReport rep;
+    opts.report = &rep;
+    const auto r = race<int>(
+        {writer, [] { ::usleep(300'000); return std::optional<int>(2); }},
+        opts);
+    // Whichever arm the loop kills, the other is the last running one and
+    // is spared: a FAIL here can only be a lost commit.
+    EXPECT_TRUE(r.has_value()) << "deadline " << deadline << " ns";
+    predicted_losers += rep.predicted_losers;
+  }
+  EXPECT_GE(predicted_losers, 1);  // the sweep did reach the kill path
+}
+
 TEST_F(PredictorRace, NeverKillsTheLastLiveArm) {
   ALTX_SKIP_IF_CONSTRAINED(8, 256);
   obs::HistoryStore store(64);
@@ -332,7 +480,6 @@ TEST_F(PredictorRace, NeverKillsTheLastLiveArm) {
   SpeculationPlanner planner(test_config(), &store);
 
   GovernorConfig gc;
-  gc.predict_watch = true;
   gc.poll_interval = 2ms;
   SpeculationGovernor gov(gc);
 
@@ -360,7 +507,6 @@ TEST_F(PredictorRace, WinnerCommitTakesPrecedenceOverAPredictedKill) {
   SpeculationPlanner planner(test_config(), &store);
 
   GovernorConfig gc;
-  gc.predict_watch = true;
   gc.poll_interval = 2ms;
   gc.kill_grace = 500ms;  // wide TERM→KILL window for the commit to land in
   SpeculationGovernor gov(gc);
@@ -508,6 +654,50 @@ TEST_F(PredictorRace, PressureSkipAbortsTheArmAndRecordsNoSample) {
   obs::history_disable_for_test();
 }
 
+TEST_F(PredictorRace, SkippedArmIsNotARunningSibling) {
+  ALTX_SKIP_IF_CONSTRAINED(8, 256);
+  // A skipped arm can only FAIL. The leader stalls past its own kill
+  // deadline while the skipped arm, stalled too, is still on its way out:
+  // the leader is the race's last running arm and must be spared.
+  obs::HistoryStore store(64);
+  teach(store, 1, 2 * kMs, true);
+  teach(store, 2, 20 * kMs, /*success=*/false);  // dominated: skipped
+  SpeculationPlanner planner(test_config(), &store);
+  GovernorConfig gc;
+  gc.tokens = 8;
+  const std::string psi =
+      ::testing::TempDir() + "psi_skip_" + std::to_string(::getpid());
+  {
+    std::ofstream out(psi);
+    out << "some avg10=75.00 avg60=12.00 avg300=3.00 total=123456\n";
+  }
+  gc.psi_path = psi;
+  SpeculationGovernor gov(gc);
+  gov.poll_pressure_now();
+  ASSERT_TRUE(governor_under_pressure(&gov));
+  FaultProfile stall;
+  stall.delay = 1.0;  // every arm stalls at its sync point
+  stall.delay_for = 40ms;
+  FaultInjector inj(1, stall);
+
+  RaceOptions opts;
+  opts.timeout = 5'000ms;
+  opts.site_id = kSite;
+  opts.planner = &planner;
+  opts.governor = &gov;
+  opts.fault = &inj;
+  RaceReport rep;
+  opts.report = &rep;
+  const auto r = race<int>({[] { return std::optional<int>(1); },
+                            [] { return std::optional<int>(2); }},
+                           opts);
+  std::remove(psi.c_str());
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->winner, 1);
+  EXPECT_EQ(rep.pred_skipped, 1);
+  EXPECT_EQ(rep.predicted_losers, 0);
+}
+
 TEST(Predictor, GovernorPressureSignal) {
   EXPECT_FALSE(governor_under_pressure(nullptr));
   GovernorConfig gc;
@@ -537,13 +727,6 @@ TEST(Predictor, EnvConfigRoundTrip) {
   ::unsetenv("ALTX_PRED_MIN_SAMPLES");
   ::unsetenv("ALTX_PRED_MAX_STAGE_MS");
   EXPECT_FALSE(PredictorConfig::from_env().enabled);
-  // ALTX_PRED also arms the governor's predict_watch, so the watchdog runs
-  // (and the live census is complete) even with no ALTX_GOV_* budget set.
-  ::setenv("ALTX_PRED", "1", 1);
-  EXPECT_TRUE(GovernorConfig::from_env().predict_watch);
-  EXPECT_TRUE(GovernorConfig::from_env().any_enabled());
-  ::unsetenv("ALTX_PRED");
-  EXPECT_FALSE(GovernorConfig::from_env().predict_watch);
 }
 
 }  // namespace

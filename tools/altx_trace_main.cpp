@@ -350,7 +350,7 @@ void warn_if_overflowed(const std::string& path,
 
 /// --efficiency: the speculation ledger per block, from the kSpecReport
 /// each AltGroup emits once all of its children are reaped, with the
-/// governor's over-budget kills folded in — a watchdogged arm is pure
+/// governor's over-budget kills folded in — a budget-killed arm is pure
 /// waste by construction, so it deserves its own column in the table.
 int run_efficiency(const std::string& path) {
   const auto loaded = load_records(path);
